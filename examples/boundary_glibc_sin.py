@@ -13,7 +13,7 @@ Run: python examples/boundary_glibc_sin.py [--samples N]
 
 import argparse
 
-from repro.analyses import BoundaryValueAnalysis
+from repro.api import Engine, EngineConfig
 from repro.libm import sin as glibc_sin
 from repro.mo import BasinhoppingBackend, wide_log_sampler
 from repro.util.tables import format_table
@@ -26,19 +26,21 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
-    program = glibc_sin.make_program()
-    analysis = BoundaryValueAnalysis(
-        program,
-        backend=BasinhoppingBackend(niter=60, local_maxiter=150),
+    engine = Engine(
+        EngineConfig(
+            seed=args.seed,
+            backend=BasinhoppingBackend(niter=60, local_maxiter=150),
+            n_starts=40,
+            start_sampler=wide_log_sampler(-12.0, 10.0),
+        )
+    )
+    report = engine.run(
+        "boundary",
+        glibc_sin.make_program(),
         # Only sin's own five high-word branches, as in the paper.
-        site_filter=lambda site: site.function == "sin_glibc",
-    )
-    report = analysis.run(
-        n_starts=40,
-        seed=args.seed,
-        start_sampler=wide_log_sampler(-12.0, 10.0),
+        spec=lambda site: site.function == "sin_glibc",
         max_samples=args.samples,
-    )
+    ).detail
 
     print(f"samples: {report.n_samples}")
     print(f"boundary values found (|BV|): {len(report.boundary_values)} "

@@ -15,12 +15,10 @@
 from repro.analyses.boundary import (
     BoundaryAnalysis,
     BoundaryReport,
-    BoundaryValueAnalysis,
     characteristic_spec,
     multiplicative_spec,
 )
 from repro.analyses.coverage import (
-    BranchCoverageTesting,
     CoverageAnalysis,
     CoverageReport,
 )
@@ -30,14 +28,12 @@ from repro.analyses.inconsistency import (
 )
 from repro.analyses.overflow import (
     OverflowAnalysis,
-    OverflowDetection,
     OverflowFinding,
     OverflowReport,
 )
 from repro.analyses.path import (
     BranchConstraint,
     PathAnalysis,
-    PathReachability,
     PathResult,
     PathSpec,
 )
@@ -45,19 +41,15 @@ from repro.analyses.path import (
 __all__ = [
     "BoundaryAnalysis",
     "BoundaryReport",
-    "BoundaryValueAnalysis",
     "BranchConstraint",
-    "BranchCoverageTesting",
     "CoverageAnalysis",
     "CoverageReport",
     "InconsistencyChecker",
     "InconsistencyFinding",
     "OverflowAnalysis",
-    "OverflowDetection",
     "OverflowFinding",
     "OverflowReport",
     "PathAnalysis",
-    "PathReachability",
     "PathResult",
     "PathSpec",
     "characteristic_spec",

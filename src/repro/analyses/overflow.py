@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-import warnings
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.base import Analysis, RoundPlan
@@ -56,10 +55,6 @@ from repro.fpir.nodes import (
     Var,
 )
 from repro.fpir.program import Program
-from repro.mo.base import MOBackend, Objective
-from repro.mo.scipy_backends import BasinhoppingBackend
-from repro.mo.starts import DEFAULT_SAMPLER, StartSampler
-from repro.util.rng import make_rng
 
 #: Name of Algorithm 3's runtime set of already-overflowed instructions.
 L_SET = "L"
@@ -131,106 +126,6 @@ class OverflowReport:
     @property
     def inputs(self) -> List[Tuple[float, ...]]:
         return [f.x_star for f in self.findings]
-
-
-class OverflowDetection:
-    """Deprecated driver for Algorithm 3 (use ``Engine.run("overflow",
-    ...)`` / ``Engine.run("fpod", ...)`` — :class:`OverflowAnalysis` —
-    instead)."""
-
-    def __init__(
-        self,
-        program: Program,
-        backend: Optional[MOBackend] = None,
-    ) -> None:
-        warnings.warn(
-            "OverflowDetection is deprecated; use "
-            "repro.api.Engine.run('overflow', program) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.program = program
-        self.backend = backend or BasinhoppingBackend(niter=40)
-        self.weak_distance = WeakDistance(instrument(program, overflow_spec()))
-        self.index = self.weak_distance.instrumented.index
-
-    @property
-    def n_fp_ops(self) -> int:
-        return len(self.index.fp_ops)
-
-    def run(
-        self,
-        seed: Optional[int] = None,
-        start_sampler: StartSampler = DEFAULT_SAMPLER,
-        retries_per_round: int = 3,
-        max_rounds: Optional[int] = None,
-    ) -> OverflowReport:
-        """Algorithm 3 steps (4)–(9).
-
-        ``retries_per_round`` relaunches Basinhopping from other starts
-        when a nonzero minimum is produced, "in case that failing to
-        find a minimum 0 is due to incompleteness" (Section 6.3.1).
-        """
-        import time
-
-        t0 = time.perf_counter()
-        rng = make_rng(seed)
-        weak_distance = self.weak_distance
-        covered = weak_distance.label_sets.setdefault(L_SET, set())
-        covered.clear()
-        sites = {site.label: site for site in self.index.fp_ops}
-        findings: List[OverflowFinding] = []
-        found_labels = set()
-        n_evals = 0
-        rounds = 0
-        budget = max_rounds if max_rounds is not None else self.n_fp_ops + 1
-
-        while len(covered) <= self.n_fp_ops and rounds < budget:
-            rounds += 1
-            objective = Objective(weak_distance, n_dims=self.program.num_inputs)
-            best = None
-            for _ in range(max(1, retries_per_round)):
-                start = start_sampler(rng, self.program.num_inputs)
-                result = self.backend.minimize(objective, start, rng)
-                if best is None or result.f_star < best.f_star:
-                    best = result
-                if result.stopped_at_zero:
-                    break
-            n_evals += objective.n_evals
-            assert best is not None
-
-            # Step (7): re-run W at the final iterate to observe the last
-            # executed, not-yet-covered probe.
-            weak_distance(best.x_star)
-            target = weak_distance.last_events.get(PROBE_EVENT)
-
-            if best.f_star == 0.0 and target is not None:
-                site = sites[target]
-                if target not in found_labels:
-                    found_labels.add(target)
-                    findings.append(
-                        OverflowFinding(
-                            label=target,
-                            text=site.text,
-                            function=site.function,
-                            x_star=best.x_star,
-                        )
-                    )
-            if target is None:
-                # No uncovered probe executed at all: every remaining
-                # instruction is unreachable from this region; stop.
-                break
-            covered.add(target)
-
-        missed = [site for site in self.index.fp_ops if site.label not in found_labels]
-        return OverflowReport(
-            n_fp_ops=self.n_fp_ops,
-            findings=findings,
-            missed=missed,
-            rounds=rounds,
-            n_evals=n_evals,
-            elapsed_seconds=time.perf_counter() - t0,
-        )
 
 
 def fp_op_sites(program: Program) -> List[FpOpSite]:

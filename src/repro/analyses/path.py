@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.base import Analysis, RoundPlan
@@ -48,10 +47,7 @@ from repro.fpir.nodes import (
     Var,
 )
 from repro.fpir.program import Program
-from repro.mo.base import MOBackend, Objective
-from repro.mo.scipy_backends import BasinhoppingBackend
-from repro.mo.starts import StartSampler, uniform_sampler
-from repro.util.rng import make_rng
+from repro.mo.starts import uniform_sampler
 
 #: Event kinds recorded by the verification instrumentation.
 ARM_EVENT = "arm"
@@ -205,70 +201,6 @@ class PathResult:
     #: Verified by replay: every constrained branch executed (when
     #: required) and always took the wanted direction.
     verified: bool = False
-
-
-class PathReachability:
-    """Deprecated driver for Instance 2 (use ``Engine.run("path", ...)``
-    — :class:`PathAnalysis` — instead)."""
-
-    def __init__(
-        self,
-        program: Program,
-        path: Optional[PathSpec] = None,
-        backend: Optional[MOBackend] = None,
-    ) -> None:
-        warnings.warn(
-            "PathReachability is deprecated; use "
-            "repro.api.Engine.run('path', program, spec=path) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.program = program
-        self.backend = backend or BasinhoppingBackend()
-        self.weak_distance, self.path, self.index = build_path_distance(program, path)
-
-    # -- verification -----------------------------------------------------------
-
-    def verify(self, x: Sequence[float]) -> bool:
-        """Replay ``x`` and check the path constraints dynamically."""
-        return verify_path(self.weak_distance, self.path, x)
-
-    # -- the analysis -------------------------------------------------------------
-
-    def run(
-        self,
-        n_starts: int = 10,
-        seed: Optional[int] = None,
-        start_sampler: Optional[StartSampler] = None,
-        record_samples: bool = False,
-    ) -> PathResult:
-        """Minimize the path weak distance; verify any zero by replay."""
-        rng = make_rng(seed)
-        sampler = start_sampler or uniform_sampler(-100.0, 100.0)
-        objective = Objective(
-            self.weak_distance,
-            n_dims=self.program.num_inputs,
-            record_samples=record_samples,
-        )
-        best = None
-        for _ in range(n_starts):
-            start = sampler(rng, self.program.num_inputs)
-            result = self.backend.minimize(objective, start, rng)
-            if best is None or result.f_star < best.f_star:
-                best = result
-            if result.stopped_at_zero:
-                break
-        assert best is not None
-        found = best.f_star == 0.0
-        verified = found and self.verify(best.x_star)
-        self.last_objective = objective
-        return PathResult(
-            found=found,
-            x_star=best.x_star if found else None,
-            w_star=best.f_star,
-            n_evals=objective.n_evals,
-            verified=verified,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from __future__ import annotations
 import abc
 import argparse
 import dataclasses
-import warnings
 from typing import Any, ClassVar, Dict, Optional
 
 from repro.core.parallel import MultiStartOutcome
@@ -66,29 +65,6 @@ class Analysis(abc.ABC):
     #: function, or Program instance) or ``"formula"`` (the SAT
     #: instance's constraints).
     target_kind: ClassVar[str] = "program"
-    #: Deprecated pre-Target spelling of :attr:`target_kind`
-    #: (``takes_program = False`` meant "targets formulas").  Kept in
-    #: sync automatically; subclasses should set ``target_kind``.
-    takes_program: ClassVar[bool] = True
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        # Migration shim: subclasses written against the pre-Target API
-        # declared `takes_program` instead of `target_kind`.  Honor the
-        # old flag (with a warning) and keep both spellings coherent.
-        declares_takes = "takes_program" in cls.__dict__
-        declares_kind = "target_kind" in cls.__dict__
-        if declares_takes and not declares_kind:
-            kind = "program" if cls.takes_program else "formula"
-            warnings.warn(
-                f"{cls.__name__} sets the deprecated `takes_program` "
-                f"class attribute; set `target_kind = {kind!r}` instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            cls.target_kind = kind
-        else:
-            cls.takes_program = cls.target_kind == "program"
     #: Default starts per round when neither the caller nor the
     #: EngineConfig picks one.
     default_n_starts: ClassVar[int] = 8

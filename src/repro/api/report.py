@@ -7,8 +7,8 @@ facts.  :class:`AnalysisReport` is the shared envelope the
 :class:`~repro.api.engine.Engine` hands back for *any* analysis:
 verdict, findings, evaluation counts, timing and a per-round trace.
 The analysis-specific report object survives on :attr:`AnalysisReport.
-detail`, so callers that want the rich legacy shape (the experiment
-table scripts, the CLI renderers) still get it.
+detail`, so callers that want the rich per-analysis shape (the
+experiment table scripts, the CLI renderers) still get it.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class AnalysisReport:
     trace: List[RoundTrace] = dataclasses.field(default_factory=list)
     #: The analysis-specific report object (``BoundaryReport``,
     #: ``OverflowReport``, ``SatResult``, ...) for callers that need
-    #: the full legacy shape.
+    #: the full per-analysis shape.
     detail: Any = None
     #: Recorded sampling sequences (rounds that asked for
     #: ``record_samples``), concatenated in round / start order.

@@ -684,7 +684,6 @@ class Session:
                 plan.n_inputs,
                 backend=backend,
                 starts=starts,
-                n_workers=cfg.n_workers,
                 record_samples=plan.record_samples,
                 max_evals_per_start=plan.max_evals_per_start,
                 stop_at_zero=plan.stop_at_zero,

@@ -315,10 +315,6 @@ def file_target(path: str, entry: str) -> Target:
     return target
 
 
-#: Deprecated private alias (pre-scan spelling).
-_file_target = file_target
-
-
 #: ``pkg.mod:fn`` targets memoized like file targets, keyed by the
 #: *module object's identity* once imported — an ``importlib.reload``
 #: replaces the module object, which invalidates the entry.
@@ -359,7 +355,7 @@ def parse_target_spec(spec: str, kind: str = PROGRAM_KIND) -> Target:
                     f"malformed file target {spec!r}; expected "
                     "file.py::function or file.c::function"
                 )
-            return _file_target(path, entry)
+            return file_target(path, entry)
         target = PythonTarget.from_spec(spec)
         return _module_target(target.module, target.entry)
     if kind == FORMULA_KIND:

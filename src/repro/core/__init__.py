@@ -9,11 +9,11 @@ three-layer architecture of Section 5:
 * :class:`~repro.core.kernel.ReductionKernel` — Algorithm 2
   (instrument → minimize → interpret), with the membership re-check
   that mitigates Limitation 2;
-* :mod:`repro.core.parallel` — the process-pool multi-start engine
-  (``KernelConfig.n_workers``) with racing early-cancel;
-* :mod:`repro.core.pool` — the persistent worker-pool service
-  (warm workers, payload cache by content hash, cancel slots) behind
-  :class:`repro.api.session.Session`;
+* :mod:`repro.core.parallel` — the multi-start loop: starts run inline
+  or through a worker pool, with per-start determinism;
+* :mod:`repro.core.pool` — the worker pool (warm workers, payload
+  cache by content hash, cancel slots, crash salvage) behind
+  :class:`repro.api.session.Session` and ``KernelConfig.n_workers``;
 * :mod:`repro.core.batch` — concurrent analysis × program campaigns
   (and multi-formula SAT campaigns) over one shared session;
 * :mod:`repro.core.adapters` — Limitation 1 adapters for non-F^N

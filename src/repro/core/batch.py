@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import traceback
-import warnings
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -52,7 +51,7 @@ def _batch_runnable(name: str) -> bool:
     return cls.target_kind == "program"
 
 
-@dataclasses.dataclass(frozen=True, init=False)
+@dataclasses.dataclass(frozen=True)
 class BatchJob:
     """One analysis run over one target."""
 
@@ -70,40 +69,6 @@ class BatchJob:
     #: Display name for campaign tables (defaults to ``target``; set
     #: for formula jobs, whose constraint text makes a poor column).
     label: str = ""
-
-    def __init__(
-        self,
-        analysis: str,
-        target: Optional[str] = None,
-        seed: Optional[int] = None,
-        params: Tuple[Tuple[str, Any], ...] = (),
-        label: str = "",
-        program: Optional[str] = None,
-    ) -> None:
-        if target is None:
-            if program is None:
-                raise TypeError("BatchJob requires a target")
-            warnings.warn(
-                "BatchJob(program=...) is deprecated; use target=",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            target = program
-        elif program is not None:
-            raise TypeError(
-                "BatchJob got both target= and its deprecated alias "
-                "program=; pass target= only"
-            )
-        object.__setattr__(self, "analysis", analysis)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "params", tuple(params))
-        object.__setattr__(self, "label", label)
-
-    @property
-    def program(self) -> str:
-        """Deprecated alias of :attr:`target`."""
-        return self.target
 
     def param(self, name: str, default: Any = None) -> Any:
         return dict(self.params).get(name, default)
@@ -142,7 +107,6 @@ def suite_jobs(
     rounds: int = 20,
     max_samples: Optional[int] = None,
     racing: bool = False,
-    programs: Optional[Sequence[str]] = None,
 ) -> List[BatchJob]:
     """The cross product: every requested analysis on every target.
 
@@ -155,11 +119,10 @@ def suite_jobs(
     module specs by locating the module without executing it (parent
     packages of a dotted path are imported, as the import machinery
     requires) — only a bad *entry name* inside an otherwise-importable
-    module is left to surface at job time.  ``programs`` is the deprecated pre-Target
-    spelling of ``targets``.  ``racing=True`` runs every job in the
-    engine's non-deterministic racing mode (first zero cancels the
-    round's remaining starts — faster, same verdicts, representatives
-    may differ between runs).
+    module is left to surface at job time.  ``racing=True`` runs every
+    job in the engine's non-deterministic racing mode (first zero
+    cancels the round's remaining starts — faster, same verdicts,
+    representatives may differ between runs).
     """
     from repro.api.targets import (
         CTarget,
@@ -171,14 +134,6 @@ def suite_jobs(
     from repro.fpir.frontend import FrontendError
     from repro.programs import list_programs
 
-    if programs is not None:
-        warnings.warn(
-            "suite_jobs(programs=...) is deprecated; use targets=",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if targets is None:
-            targets = programs
     if analyses is None:
         analyses = BATCH_ANALYSES
     if targets is None:
@@ -362,10 +317,6 @@ def job_request(job: BatchJob):
     )
 
 
-#: Deprecated private alias (pre-scan spelling).
-_job_request = job_request
-
-
 def run_batch(
     jobs: Sequence[BatchJob],
     n_workers: int = 1,
@@ -399,7 +350,7 @@ def run_batch(
         handles: List[Tuple[int, Any]] = []
         for index, job in enumerate(jobs):
             try:
-                request = _job_request(job)
+                request = job_request(job)
                 handle = session.submit(
                     request.analysis,
                     request.target,

@@ -14,22 +14,26 @@ backend, multi-start.  The kernel then interprets the outcome:
 Multi-start seeding derives one independent ``SeedSequence`` child per
 start, so every start's randomness is a pure function of
 ``(config.seed, start index)``.  Setting ``KernelConfig.n_workers > 1``
-fans the starts across a process pool (:mod:`repro.core.parallel`) with
-identical per-start randomness — serial and parallel runs with the same
-seed explore the same points and agree on the verdict.
+races the starts on a transient :class:`~repro.core.pool.WorkerPool`
+with identical per-start randomness — serial and parallel runs with the
+same seed explore the same points and agree on the verdict.  This is
+the paper's custom-designer API; the registered analyses run through
+:class:`repro.api.session.Session` instead.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from typing import List, Optional, Union
 
-from repro.core.parallel import DEFAULT_CRASH_RETRIES
+from repro.core.parallel import DEFAULT_CRASH_RETRIES, run_multistart
+from repro.core.pool import WorkerPool
 from repro.core.problem import AnalysisProblem
 from repro.core.result import ReductionOutcome, Verdict
 from repro.core.weak_distance import WeakDistance
 from repro.fpir.instrument import InstrumentationSpec, instrument
-from repro.mo.base import MOBackend, MOResult, Objective
+from repro.mo.base import MOBackend, MOResult
 from repro.mo.scipy_backends import BasinhoppingBackend
 from repro.mo.starts import DEFAULT_SAMPLER, StartSampler
 from repro.util.rng import derive_start_rngs
@@ -45,8 +49,9 @@ class KernelConfig:
     seed: Optional[int] = None
     #: Re-check x* against the problem's membership oracle when present.
     verify_membership: bool = True
-    #: Fan the starts across this many worker processes when > 1
-    #: (see :mod:`repro.core.parallel`); 1 keeps the serial loop.
+    #: Race the starts on a transient pool of this many worker
+    #: processes when > 1 (see :mod:`repro.core.pool`); 1 keeps the
+    #: serial loop.
     n_workers: int = 1
     #: Optional per-start evaluation budget (serial and parallel).
     max_evals_per_start: Optional[int] = None
@@ -63,6 +68,10 @@ class KernelConfig:
     #: with bit-parity to the scalar tiers, so the verdict and the
     #: sampled sequence are ``eval_mode``-invariant.
     eval_mode: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.n_starts < 1:
+            raise ValueError(f"KernelConfig.n_starts must be >= 1, got {self.n_starts}")
 
 
 class ReductionKernel:
@@ -100,55 +109,35 @@ class ReductionKernel:
         weak_distance: WeakDistance,
         n_inputs: int,
         problem: Optional[AnalysisProblem] = None,
-        objective: Optional[Objective] = None,
     ) -> ReductionOutcome:
         """Multi-start minimization of ``weak_distance``.
 
         Stops early as soon as a zero is found (the weak-distance
         termination rule of Section 4.4).  With ``n_workers > 1`` the
-        starts race on a process pool instead, sharing an early-cancel
-        signal; a caller-supplied ``objective`` forces the serial path
-        (shared mutable objectives cannot cross process boundaries).
+        starts race on a pool opened for this call and closed after
+        it; the first zero cancels the others.
         """
         cfg = self.config
-        if objective is not None:
-            attempts: List[MOResult] = []
-            for rng in derive_start_rngs(cfg.seed, cfg.n_starts):
-                start = cfg.start_sampler(rng, n_inputs)
-                saved = objective.max_samples
-                if cfg.max_evals_per_start is not None:
-                    budget = objective.n_evals + cfg.max_evals_per_start
-                    objective.max_samples = (
-                        budget if saved is None else min(saved, budget)
-                    )
-                try:
-                    result = self.backend.minimize(objective, start, rng)
-                finally:
-                    objective.max_samples = saved
-                attempts.append(result)
-                if result.stopped_at_zero:
-                    break
-            return self._interpret(
-                attempts,
-                n_evals=objective.n_evals,
-                samples=list(objective.samples),
-                problem=problem,
-            )
-        from repro.core.parallel import run_multistart
-
-        starts = []
-        for rng in derive_start_rngs(cfg.seed, cfg.n_starts):
-            starts.append((cfg.start_sampler(rng, n_inputs), rng))
-        merged = run_multistart(
-            weak_distance,
-            n_inputs,
-            backend=self.backend,
-            starts=starts,
-            n_workers=cfg.n_workers,
-            record_samples=cfg.record_samples,
-            max_evals_per_start=cfg.max_evals_per_start,
-            max_crash_retries=cfg.max_crash_retries,
+        starts = [
+            (cfg.start_sampler(rng, n_inputs), rng)
+            for rng in derive_start_rngs(cfg.seed, cfg.n_starts)
+        ]
+        transient = (
+            WorkerPool(min(cfg.n_workers, len(starts)))
+            if cfg.n_workers > 1 and len(starts) > 1
+            else contextlib.nullcontext()
         )
+        with transient as pool:
+            merged = run_multistart(
+                weak_distance,
+                n_inputs,
+                backend=self.backend,
+                starts=starts,
+                record_samples=cfg.record_samples,
+                max_evals_per_start=cfg.max_evals_per_start,
+                pool=pool,
+                max_crash_retries=cfg.max_crash_retries,
+            )
         return self._interpret(
             merged.attempts,
             n_evals=merged.n_evals,

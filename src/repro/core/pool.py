@@ -1,10 +1,12 @@
-"""The persistent worker-pool service behind `repro.api.Session`.
+"""The worker pool: the one place starts cross a process boundary.
 
-One-shot execution (:func:`repro.core.parallel.run_multistart` without
-a pool) pays process startup and a worker-side payload rebuild on every
-round of every job.  A :class:`WorkerPool` owns one
-:class:`~concurrent.futures.ProcessPoolExecutor` for its lifetime and
-amortizes both costs:
+:func:`repro.core.parallel.run_multistart` runs a round's starts either
+inline or through :meth:`WorkerPool.run_round` — the only fan-out,
+cancel and crash-salvage loop.  :class:`repro.api.session.Session`
+owns a pool for its lifetime; :class:`repro.core.kernel.ReductionKernel`
+opens a transient one per ``minimize`` call.  A :class:`WorkerPool`
+owns one :class:`~concurrent.futures.ProcessPoolExecutor` and
+amortizes process startup and payload rebuilds across rounds and jobs:
 
 * **Warm workers.**  Processes are spawned once (lazily, on the first
   round) and reused by every subsequent round and job, no matter which
@@ -20,19 +22,17 @@ amortizes both costs:
   ``L``, coverage's ``B``) travels with each task and is synced into
   the cached W in place, so the digest never churns on driver progress.
 
-* **Cancel slots.**  The one-shot pool shares a single
-  ``multiprocessing.Event``; a persistent pool runs many rounds — from
-  many concurrent jobs — over one set of workers, so it allocates each
-  round a *slot* in a shared flag array instead.  Workers poll their
-  task's slot per evaluation; the first racing zero sets it, and
+* **Cancel slots.**  A pool runs many rounds — from many concurrent
+  jobs — over one set of workers, so it allocates each round a *slot*
+  in a shared flag array.  Workers poll their task's slot per
+  evaluation; the first racing zero sets it, and
   :meth:`repro.api.session.JobHandle.cancel` sets it from the parent to
   stop a round mid-flight.  A round that could not get a slot (all
   :data:`CANCEL_SLOTS` taken) still observes its ``stop_event``
   parent-side: queued starts are withdrawn and running ones are merely
   waited out.  Slots are always cleared on release, even when the
   round aborts with :class:`WorkerCrashError` — the pool stays usable
-  for the next job (the one-shot path's strand-the-event bug cannot
-  recur here).
+  for the next job.
 
 * **Self-healing rounds.**  A worker crash — a raising backend or a
   process death that breaks the whole executor — no longer forfeits
@@ -236,7 +236,7 @@ class WorkerPool:
     Use as a context manager, or call :meth:`close` when done::
 
         with WorkerPool(4) as pool:
-            outcome = run_multistart(w, n, backend, starts, 0, pool=pool)
+            outcome = run_multistart(w, n, backend, starts, pool=pool)
 
     Most callers never construct one directly —
     :class:`repro.api.session.Session` owns a pool for its lifetime and
@@ -352,7 +352,7 @@ class WorkerPool:
         if cached is not None:
             return cached
         blob = pickle.dumps(
-            make_payload(weak_distance, n_inputs, with_labels=False),
+            make_payload(weak_distance, n_inputs),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         digest = digest_bytes(blob)
@@ -379,9 +379,8 @@ class WorkerPool:
     def _release_slot(self, slot: Optional[int]) -> None:
         if slot is None:
             return
-        # Clearing before reuse is the pool-service analogue of the
-        # one-shot engine's clear-on-teardown: a crashed or cancelled
-        # round must never leave its flag set for the next round.
+        # Clearing before reuse: a crashed or cancelled round must
+        # never leave its flag set for the next round.
         self._flags[slot] = 0
         with self._lock:
             self._free_slots.add(slot)

@@ -4,7 +4,8 @@ CNF formulas over double variables (:mod:`repro.sat.formula`) are
 translated (:mod:`repro.sat.translate`) either into a branch program —
 making satisfiability literally path reachability — or into the XSat
 ``R`` program whose zeros are the models, which
-:class:`~repro.sat.solver.XSatSolver` minimizes.
+:class:`~repro.sat.solver.SatAnalysis` minimizes through the engine
+(``Engine.run("sat", formula)``).
 """
 
 from repro.sat.distance import METRICS, NAIVE, ULP, atom_distance
@@ -15,7 +16,6 @@ from repro.sat.solver import (
     SatAnalysis,
     SatResult,
     SatVerdict,
-    XSatSolver,
     evaluate_formula,
 )
 from repro.sat.translate import (
@@ -35,7 +35,6 @@ __all__ = [
     "SatResult",
     "SatVerdict",
     "ULP",
-    "XSatSolver",
     "atom",
     "atom_distance",
     "conjunction",

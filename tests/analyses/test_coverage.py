@@ -3,9 +3,11 @@
 
 from repro.analyses.coverage import (
     B_SET,
-    BranchCoverageTesting,
+    all_branch_arms,
     coverage_spec,
+    executed_arms,
 )
+from repro.api import Engine, EngineConfig
 from repro.core.weak_distance import WeakDistance
 from repro.fpir.builder import FunctionBuilder, lt, num, v
 from repro.fpir.instrument import instrument
@@ -25,6 +27,17 @@ def _unreachable_branch_program() -> Program:
         fb.let("dead", num(1.0))
     fb.ret(num(0.0))
     return Program([fb.build()], entry="f")
+
+
+def _coverage(program, seed, backend, max_rounds, sampler):
+    """One CoverMe loop through the engine; the detail report."""
+    config = EngineConfig(
+        seed=seed,
+        backend=backend,
+        max_rounds=max_rounds,
+        start_sampler=sampler,
+    )
+    return Engine(config).run("coverage", program).detail
 
 
 class TestCoverageWeakDistance:
@@ -49,42 +62,41 @@ class TestCoverageWeakDistance:
 
 class TestCoverageLoop:
     def test_full_coverage_on_fig2(self):
-        testing = BranchCoverageTesting(
-            fig2.make_program(), backend=BasinhoppingBackend(niter=30)
-        )
-        report = testing.run(
-            max_rounds=20, seed=31,
-            start_sampler=uniform_sampler(-50.0, 50.0),
+        report = _coverage(
+            fig2.make_program(), seed=31,
+            backend=BasinhoppingBackend(niter=30), max_rounds=20,
+            sampler=uniform_sampler(-50.0, 50.0),
         )
         assert report.coverage == 1.0
         assert report.total_arms == 4
         # Witnesses actually cover their arms.
+        replay = WeakDistance(instrument(fig2.make_program(),
+                                         coverage_spec()))
         for arm, witness in report.witnesses.items():
-            assert arm in testing._executed_arms(witness)
+            assert arm in executed_arms(replay, witness)
 
     def test_unreachable_arm_reported_uncovered(self):
-        testing = BranchCoverageTesting(
-            _unreachable_branch_program(),
-            backend=BasinhoppingBackend(niter=15),
-        )
-        report = testing.run(
-            max_rounds=6, seed=32,
-            start_sampler=uniform_sampler(-10.0, 10.0),
+        program = _unreachable_branch_program()
+        report = _coverage(
+            program, seed=32,
+            backend=BasinhoppingBackend(niter=15), max_rounds=6,
+            sampler=uniform_sampler(-10.0, 10.0),
         )
         assert report.coverage < 1.0
-        uncovered = set(testing.all_arms) - report.covered_arms
+        index = WeakDistance(
+            instrument(program, coverage_spec())
+        ).instrumented.index
+        uncovered = set(all_branch_arms(index)) - report.covered_arms
         assert "b1:T" in uncovered
 
     def test_sin_dispatch_coverage(self, sin_program):
         from repro.mo.starts import wide_log_sampler
 
-        testing = BranchCoverageTesting(
-            sin_program,
+        report = _coverage(
+            sin_program, seed=33,
             backend=BasinhoppingBackend(niter=50, local_maxiter=150),
-        )
-        report = testing.run(
-            max_rounds=80, seed=33,
-            start_sampler=wide_log_sampler(-12.0, 10.0),
+            max_rounds=80,
+            sampler=wide_log_sampler(-12.0, 10.0),
         )
         # The five high-word dispatch branches (b1..b5): all ten arms
         # are reachable with finite inputs; require at least nine so a

@@ -7,7 +7,6 @@ engine's deterministic no-racing mode).
 """
 
 import math
-import warnings
 
 import pytest
 
@@ -104,39 +103,3 @@ class TestSatParallelPayload:
         )
         assert serial.verdict == parallel.verdict
         assert serial.detail.model == parallel.detail.model
-
-
-class TestDeprecationShims:
-    def test_legacy_drivers_warn_but_work(self):
-        from repro.analyses import (
-            BoundaryValueAnalysis,
-            BranchCoverageTesting,
-            OverflowDetection,
-            PathReachability,
-        )
-        from repro.programs import fig2
-        from repro.sat import XSatSolver
-
-        program = fig2.make_program()
-        for cls, args in (
-            (BoundaryValueAnalysis, (program,)),
-            (PathReachability, (program,)),
-            (OverflowDetection, (program,)),
-            (BranchCoverageTesting, (program,)),
-            (XSatSolver, ()),
-        ):
-            with pytest.warns(DeprecationWarning):
-                cls(*args)
-
-    def test_xsat_shim_matches_engine(self):
-        from repro.sat import XSatSolver, parse_formula
-
-        formula = parse_formula("x < 1 && x + 1 >= 2")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = XSatSolver(n_starts=10).solve(formula, seed=12)
-        engine = Engine(EngineConfig(seed=12, n_starts=10)).run(
-            "sat", formula
-        )
-        assert legacy.verdict == engine.detail.verdict
-        assert legacy.model == engine.detail.model

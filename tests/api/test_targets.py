@@ -234,7 +234,9 @@ class TestFrontendEngineParity:
 class TestSessionTargetIntake:
     def test_submit_accepts_callable(self):
         with Session(EngineConfig(seed=5)) as session:
-            handle = session.submit("coverage", sum_of_sines)
+            handle = session.submit(
+                "coverage", sum_of_sines, n_starts=2, max_rounds=6
+            )
             report = handle.result()
         assert handle.target == "sum_of_sines"
         assert report.target == "sum_of_sines"
@@ -251,38 +253,6 @@ class TestSessionTargetIntake:
     def test_unknown_program_name_still_raises_keyerror(self):
         with pytest.raises(KeyError, match="unknown program"):
             Engine().run("coverage", "no-such-program")
-
-
-class TestTakesProgramShim:
-    def test_takes_program_tracks_target_kind(self):
-        from repro.api import get_analysis
-
-        assert get_analysis("boundary").takes_program is True
-        assert get_analysis("sat").takes_program is False
-        assert get_analysis("sat").target_kind == "formula"
-
-    def test_legacy_subclass_warns_and_maps(self):
-        from repro.api.base import Analysis
-
-        with pytest.warns(DeprecationWarning, match="takes_program"):
-
-            class LegacyFormulaAnalysis(Analysis):
-                name = "legacy-formula"
-                takes_program = False
-
-                def prepare(self, target, spec, options, config):
-                    raise NotImplementedError
-
-                def plan_round(self, state, round_index):
-                    raise NotImplementedError
-
-                def absorb(self, state, round_index, outcome):
-                    raise NotImplementedError
-
-                def finish(self, state):
-                    raise NotImplementedError
-
-        assert LegacyFormulaAnalysis.target_kind == "formula"
 
 
 class TestRegisterProgramForce:

@@ -1,5 +1,6 @@
 """Algorithm 2 end-to-end: the ReductionKernel."""
 
+import pytest
 
 from repro.analyses.boundary import multiplicative_spec
 from repro.core import (
@@ -159,3 +160,14 @@ class TestSpurious:
         # membership would reject it.
         if outcome.w_star == 0.0:
             assert outcome.verdict is Verdict.FOUND
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("n_starts", [0, -1])
+    def test_non_positive_n_starts_rejected(self, n_starts):
+        # Zero starts would leave Algorithm 2 with no attempt to
+        # interpret; the config names the field instead.
+        with pytest.raises(ValueError, match="n_starts"):
+            ReductionKernel(config=KernelConfig(n_starts=n_starts)).solve(
+                AnalysisProblem(fig2.make_program()), multiplicative_spec()
+            )

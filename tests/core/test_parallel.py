@@ -1,4 +1,4 @@
-"""The process-pool multi-start engine (repro.core.parallel)."""
+"""The multi-start loop (repro.core.parallel): serial vs pooled starts."""
 
 import pickle
 
@@ -13,11 +13,8 @@ from repro.core import (
     Verdict,
     WorkerCrashError,
 )
-from repro.core.parallel import (
-    make_payload,
-    rebuild_weak_distance,
-    run_multistart,
-)
+from repro.core.parallel import run_multistart
+from repro.core.pool import WorkerPool
 from repro.core.weak_distance import WeakDistance
 from repro.fpir.builder import FunctionBuilder, eq, fmul, gt, num, v
 from repro.fpir.instrument import InstrumentationSpec, instrument
@@ -96,17 +93,6 @@ class TestPayload:
         assert spec.hooks_dropped
         with pytest.raises(ValueError, match="lost its hooks"):
             instrument(fig2.make_program(), spec)
-
-    def test_payload_carries_label_state(self):
-        instrumented = instrument(fig2.make_program(), overflow_spec())
-        weak_distance = WeakDistance(instrumented)
-        weak_distance.label_sets["L"].add("l1")
-        payload = pickle.loads(
-            pickle.dumps(make_payload(weak_distance, n_inputs=1))
-        )
-        rebuilt = rebuild_weak_distance(payload)
-        assert rebuilt.label_sets["L"] == {"l1"}
-        assert rebuilt.max_loop_steps == weak_distance.max_loop_steps
 
 
 class TestVerdictEquivalence:
@@ -241,70 +227,53 @@ class TestWorkerCrash:
         assert 0 <= excinfo.value.start_index < 3
         assert "backend exploded" in str(excinfo.value)
 
-    def test_one_shot_kill_heals_with_serial_parity(self, tmp_path):
+    def test_one_shot_kill_heals_with_serial_parity(
+        self, tmp_path, monkeypatch
+    ):
+        """The kernel's one-shot (per-call) pool heals a SIGKILLed
+        worker: the round is salvaged, not failed, and matches a
+        crash-free serial run start for start."""
+        import repro.core.kernel as kernel_module
         from repro.testing import KillWorkerOnceBackend
 
-        def chaos():
-            return KillWorkerOnceBackend(
-                tmp_path / "killed",
-                inner=RandomSearchBackend(
-                    n_samples=40, sampler=uniform_sampler(10.0, 20.0)
+        pools = []
+
+        class RecordingPool(WorkerPool):
+            def __init__(self, n_workers):
+                super().__init__(n_workers)
+                pools.append(self)
+
+        monkeypatch.setattr(kernel_module, "WorkerPool", RecordingPool)
+
+        def solve(n_workers):
+            kernel = ReductionKernel(
+                backend=KillWorkerOnceBackend(
+                    tmp_path / "killed",
+                    inner=RandomSearchBackend(
+                        n_samples=40, sampler=uniform_sampler(10.0, 20.0)
+                    ),
+                ),
+                config=KernelConfig(
+                    n_starts=6,
+                    seed=5,
+                    start_sampler=uniform_sampler(10.0, 20.0),
+                    n_workers=n_workers,
                 ),
             )
+            weak_distance = WeakDistance(
+                instrument(_equality_program(), multiplicative_spec())
+            )
+            return kernel.minimize(weak_distance, n_inputs=1)
 
-        weak_distance = WeakDistance(
-            instrument(_equality_program(), multiplicative_spec())
-        )
-
-        def starts():
-            # Fresh generators per run: the serial path advances them
-            # in-process, so sharing one list would skew the replay.
-            return [
-                (uniform_sampler(10.0, 20.0)(rng, 1), rng)
-                for rng in derive_start_rngs(5, 6)
-            ]
-
-        serial = run_multistart(
-            weak_distance, 1, chaos(), starts(), n_workers=1,
-            early_cancel=False,
-        )
-        healed = run_multistart(
-            weak_distance, 1, chaos(), starts(), n_workers=2,
-            early_cancel=False,
-        )
+        serial = solve(1)
+        healed = solve(2)
         assert (tmp_path / "killed").exists()
-        assert healed.n_crash_retries >= 1
+        assert len(pools) == 1 and pools[0].closed
+        assert pools[0].n_crash_retries >= 1
         assert [r.x_star for r in serial.attempts] == [
             r.x_star for r in healed.attempts
         ]
         assert serial.n_evals == healed.n_evals
-
-
-class TestOneShotStopEvent:
-    def test_one_shot_round_observes_stop_event(self):
-        """The one-shot executor path honors job cancellation too:
-        a pre-set stop event withdraws queued starts and marks the
-        outcome interrupted instead of running the round to the end."""
-        import threading
-
-        weak_distance = WeakDistance(
-            instrument(_equality_program(), multiplicative_spec())
-        )
-        backend = RandomSearchBackend(
-            n_samples=20_000, sampler=uniform_sampler(10.0, 20.0)
-        )
-        starts = [
-            (uniform_sampler(10.0, 20.0)(rng, 1), rng)
-            for rng in derive_start_rngs(3, 8)
-        ]
-        stop = threading.Event()
-        stop.set()
-        outcome = run_multistart(
-            weak_distance, 1, backend, starts, n_workers=2,
-            early_cancel=False, stop_event=stop,
-        )
-        assert outcome.interrupted
-        assert len(outcome.attempts) < 8
 
 
 class TestLabelSetMerge:
@@ -370,15 +339,16 @@ class TestRunMultistartDirect:
         rngs = derive_start_rngs(5, 3)
         sampler = uniform_sampler(10.0, 20.0)
         starts = [(sampler(rng, 1), rng) for rng in rngs]
-        outcome = run_multistart(
-            weak_distance,
-            n_inputs=1,
-            backend=RandomSearchBackend(
-                n_samples=50, sampler=uniform_sampler(10.0, 20.0)
-            ),
-            starts=starts,
-            n_workers=2,
-        )
+        with WorkerPool(2) as pool:
+            outcome = run_multistart(
+                weak_distance,
+                n_inputs=1,
+                backend=RandomSearchBackend(
+                    n_samples=50, sampler=uniform_sampler(10.0, 20.0)
+                ),
+                starts=starts,
+                pool=pool,
+            )
         assert len(outcome.attempts) == 3
         assert outcome.n_evals == 3 * 50
         assert outcome.n_cancelled == 0

@@ -61,12 +61,12 @@ class TestPooledRounds:
     def test_pooled_round_matches_serial(self):
         serial_wd, pooled_wd = _weak_distance(), _weak_distance()
         serial = run_multistart(
-            serial_wd, 1, _backend(), _starts(5, 3), n_workers=1,
+            serial_wd, 1, _backend(), _starts(5, 3),
             early_cancel=False,
         )
         with WorkerPool(2) as pool:
             pooled = run_multistart(
-                pooled_wd, 1, _backend(), _starts(5, 3), n_workers=1,
+                pooled_wd, 1, _backend(), _starts(5, 3),
                 early_cancel=False, pool=pool,
             )
         assert [r.f_star for r in serial.attempts] == [
@@ -83,7 +83,7 @@ class TestPooledRounds:
             for round_seed in (1, 2, 3):
                 run_multistart(
                     weak_distance, 1, _backend(), _starts(round_seed, 2),
-                    n_workers=1, pool=pool,
+                    pool=pool,
                 )
             stats = pool.stats()
         # One worker, one program: a single rebuild serves every round.
@@ -96,7 +96,7 @@ class TestPooledRounds:
             for target in (7.0, 9.0):
                 run_multistart(
                     _weak_distance(target), 1, _backend(),
-                    _starts(4, 2), n_workers=1, pool=pool,
+                    _starts(4, 2), pool=pool,
                 )
             assert pool.n_programs == 2
             assert pool.n_rebuilds == 2
@@ -108,7 +108,7 @@ class TestPooledRounds:
             for _ in range(2):
                 run_multistart(
                     _weak_distance(), 1, _backend(), _starts(4, 2),
-                    n_workers=1, pool=pool,
+                    pool=pool,
                 )
             assert pool.n_programs == 1
             assert pool.n_rebuilds == 1
@@ -122,12 +122,12 @@ class TestPooledRounds:
             # Warm-up round touches (at most) one of the two workers.
             run_multistart(
                 weak_distance, 1, _backend(), _starts(1, 1),
-                n_workers=1, pool=pool,
+                pool=pool,
             )
             assert pool._warm_digests
             outcome = run_multistart(
                 weak_distance, 1, _backend(), _starts(2, 4),
-                n_workers=1, pool=pool,
+                pool=pool,
             )
         assert len(outcome.attempts) == 4
         assert outcome.n_evals == 4 * 50
@@ -145,12 +145,12 @@ class TestPooledRounds:
         with WorkerPool(1) as pool:
             run_multistart(
                 program_wd, 1, _backend(), _starts(4, 2),
-                n_workers=1, pool=pool,
+                pool=pool,
             )
             program_wd.label_sets["L"].update(labels)
             outcome = run_multistart(
                 program_wd, 1, _backend(), _starts(4, 2),
-                n_workers=1, pool=pool,
+                pool=pool,
             )
             # Same digest both rounds: the label growth must not force
             # a rebuild...
@@ -169,7 +169,7 @@ class TestCrashRecovery:
             with pytest.raises(WorkerCrashError, match="backend exploded"):
                 run_multistart(
                     weak_distance, 1, CrashBackend(), _starts(1, 3),
-                    n_workers=1, pool=pool,
+                    pool=pool,
                 )
             # Every cancel slot was released cleared by the teardown.
             assert len(pool._free_slots) == CANCEL_SLOTS
@@ -177,7 +177,7 @@ class TestCrashRecovery:
             # The same pool serves the next round.
             outcome = run_multistart(
                 weak_distance, 1, _backend(), _starts(5, 3),
-                n_workers=1, pool=pool,
+                pool=pool,
             )
             assert len(outcome.attempts) == 3
 
@@ -187,7 +187,7 @@ class TestCrashRecovery:
         with pytest.raises(RuntimeError, match="closed"):
             run_multistart(
                 _weak_distance(), 1, _backend(), _starts(5, 2),
-                n_workers=1, pool=pool,
+                pool=pool,
             )
 
 
@@ -199,12 +199,12 @@ class TestChaosCrashRecovery:
     ):
         backend = _kill_once(tmp_path / "killed")
         serial = run_multistart(
-            _weak_distance(), 1, backend, _starts(5, 6), n_workers=1,
+            _weak_distance(), 1, backend, _starts(5, 6),
             early_cancel=False,
         )
         with WorkerPool(2) as pool:
             healed = run_multistart(
-                _weak_distance(), 1, backend, _starts(5, 6), n_workers=1,
+                _weak_distance(), 1, backend, _starts(5, 6),
                 early_cancel=False, pool=pool,
             )
             stats = pool.stats()
@@ -227,7 +227,7 @@ class TestChaosCrashRecovery:
         backend = _kill_once(tmp_path / "killed")
         with WorkerPool(2) as pool:
             run_multistart(
-                _weak_distance(), 1, backend, _starts(5, 4), n_workers=1,
+                _weak_distance(), 1, backend, _starts(5, 4),
                 early_cancel=False, pool=pool,
             )
             # Every cancel slot came back cleared and the (recreated)
@@ -236,7 +236,7 @@ class TestChaosCrashRecovery:
             assert all(flag == 0 for flag in pool._flags)
             outcome = run_multistart(
                 _weak_distance(), 1, _backend(), _starts(6, 3),
-                n_workers=1, early_cancel=False, pool=pool,
+                early_cancel=False, pool=pool,
             )
             assert len(outcome.attempts) == 3
 
@@ -247,13 +247,13 @@ class TestChaosCrashRecovery:
             with pytest.raises(WorkerCrashError, match="backend exploded"):
                 run_multistart(
                     _weak_distance(), 1, CrashBackend(), _starts(1, 3),
-                    n_workers=1, pool=pool, max_crash_retries=1,
+                    pool=pool, max_crash_retries=1,
                 )
             assert pool.stats()["crash_retries"] == 1
             # The pool survives even budget exhaustion.
             outcome = run_multistart(
                 _weak_distance(), 1, _backend(), _starts(5, 2),
-                n_workers=1, pool=pool,
+                pool=pool,
             )
             assert len(outcome.attempts) == 2
 
@@ -272,7 +272,7 @@ class TestStopEventSalvage:
             stop.set()  # cancelled before the round can dispatch
             outcome = run_multistart(
                 weak_distance, 1, _backend(20_000), _starts(3, 8),
-                n_workers=1, early_cancel=False, pool=pool,
+                early_cancel=False, pool=pool,
                 stop_event=stop,
             )
             for slot in held:
@@ -282,7 +282,7 @@ class TestStopEventSalvage:
             # The pool still serves the next (slotted) round.
             follow_up = run_multistart(
                 weak_distance, 1, _backend(), _starts(5, 3),
-                n_workers=1, early_cancel=False, pool=pool,
+                early_cancel=False, pool=pool,
             )
             assert len(follow_up.attempts) == 3
             assert not follow_up.interrupted
@@ -296,14 +296,14 @@ class TestStopEventSalvage:
             # the two workers saw the blob.
             run_multistart(
                 weak_distance, 1, _backend(), _starts(1, 1),
-                n_workers=1, pool=pool,
+                pool=pool,
             )
             assert pool.n_rebuilds == 1
             stop = threading.Event()
             stop.set()
             outcome = run_multistart(
                 weak_distance, 1, _backend(20_000), _starts(2, 6),
-                n_workers=1, early_cancel=False, pool=pool,
+                early_cancel=False, pool=pool,
                 stop_event=stop,
             )
             assert outcome.interrupted
@@ -325,33 +325,9 @@ class TestRacingCancellation:
         ]
         with WorkerPool(4) as pool:
             outcome = run_multistart(
-                weak_distance, 1, backend, starts, n_workers=1,
+                weak_distance, 1, backend, starts,
                 pool=pool, early_cancel=True,
             )
         assert outcome.best is not None
         assert outcome.best.x_star == (7.0,)
         assert outcome.n_evals < 4 * budget * 0.25
-
-    def test_one_shot_event_cleared_after_crash(self, monkeypatch):
-        # The one-shot engine's analogue of slot release: a crashing
-        # round must clear the shared cancel event on teardown.
-        from repro.core import WorkerCrashError
-        from repro.core.parallel import pool_context
-
-        ctx = pool_context()
-        events = []
-        real_event = ctx.Event
-
-        def tracking_event():
-            event = real_event()
-            events.append(event)
-            return event
-
-        monkeypatch.setattr(ctx, "Event", tracking_event)
-        with pytest.raises(WorkerCrashError):
-            run_multistart(
-                _weak_distance(), 1, CrashBackend(), _starts(1, 3),
-                n_workers=2,
-            )
-        assert len(events) == 1
-        assert not events[0].is_set()

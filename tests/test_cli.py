@@ -60,8 +60,8 @@ class TestGeneratedRun:
 class TestSat:
     def test_sat_verdict(self, capsys):
         code = main([
-            "sat", "x < 1 && x + 1 >= 2",
-            "--range", "10", "--seed", "5",
+            "run", "sat", "x < 1 && x + 1 >= 2",
+            "--range", "10", "--seed", "5", "--starts", "30",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -70,7 +70,7 @@ class TestSat:
 
     def test_unknown_verdict(self, capsys):
         code = main([
-            "sat", "x > 1 && x < 0", "--range", "10", "--seed", "5",
+            "run", "sat", "x > 1 && x < 0", "--range", "10", "--seed", "5",
             "--starts", "3",
         ])
         assert code == 0
@@ -78,7 +78,7 @@ class TestSat:
 
     def test_naive_metric_option(self, capsys):
         code = main([
-            "sat", "x == 3", "--metric", "naive", "--range", "10",
+            "run", "sat", "x == 3", "--metric", "naive", "--range", "10",
             "--seed", "5", "--starts", "5",
         ])
         assert code == 0
@@ -86,16 +86,18 @@ class TestSat:
 
 
 class TestFpod:
+    """The fpod tool: overflow detection plus the inconsistency sweep."""
+
     def test_fpod_on_hyperg(self, capsys):
-        code = main(["fpod", "gsl-hyperg", "--seed", "7",
-                     "--niter", "20", "--retries", "2"])
+        code = main(["run", "overflow", "gsl-hyperg", "--inconsistency",
+                     "--seed", "7", "--niter", "20", "--retries", "2"])
         assert code == 0
         out = capsys.readouterr().out
         assert "/8 instructions overflowed" in out
 
     def test_unknown_program(self):
         with pytest.raises(KeyError):
-            main(["fpod", "no-such-program"])
+            main(["run", "overflow", "no-such-program", "--inconsistency"])
 
 
 class TestSessionFlags:
@@ -269,16 +271,16 @@ class TestEventsOut:
 class TestBoundaryAndCoverage:
     def test_boundary_fig2(self, capsys):
         code = main([
-            "boundary", "fig2", "--seed", "1",
-            "--samples", "10000", "--starts", "5",
+            "run", "boundary", "fig2", "--seed", "1",
+            "--samples", "10000", "--starts", "5", "--niter", "60",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "soundness replay OK" in out
 
     def test_coverage_fig2(self, capsys):
-        code = main(["coverage", "fig2", "--seed", "3",
-                     "--rounds", "15"])
+        code = main(["run", "coverage", "fig2", "--seed", "3",
+                     "--rounds", "15", "--niter", "50"])
         assert code == 0
         assert "branch coverage" in capsys.readouterr().out
 

@@ -8,12 +8,7 @@ computed ground truth, for several instances at once.
 
 import pytest
 
-from repro.analyses import (
-    BoundaryValueAnalysis,
-    BranchCoverageTesting,
-    OverflowDetection,
-    PathReachability,
-)
+from repro.api import Engine, EngineConfig
 from repro.fpir.builder import (
     FunctionBuilder,
     call,
@@ -28,12 +23,25 @@ from repro.fpir.program import Program
 from repro.mo.scipy_backends import BasinhoppingBackend
 from repro.mo.starts import uniform_sampler
 from repro.programs import fig1
-from repro.sat import XSatSolver, atom, conjunction
+from repro.sat import atom, conjunction
 
 
 def _assertion_program() -> Program:
     """Fig. 1(a) as a reachability target (assertion failure)."""
     return fig1.make_program_a()
+
+
+def _run(analysis, target, seed, backend=None, n_starts=None,
+         sampler=None, max_rounds=None, spec=None, **options):
+    """One engine run; the analysis-specific detail report."""
+    config = EngineConfig(
+        seed=seed,
+        backend=backend,
+        n_starts=n_starts,
+        start_sampler=sampler,
+        max_rounds=max_rounds,
+    )
+    return Engine(config).run(analysis, target, spec=spec, **options).detail
 
 
 class TestFig1AssertionHunt:
@@ -46,12 +54,10 @@ class TestFig1AssertionHunt:
         spec = PathSpec(
             [BranchConstraint("b1", True), BranchConstraint("b2", True)]
         )
-        analysis = PathReachability(
-            program, path=spec, backend=BasinhoppingBackend(niter=60)
-        )
-        result = analysis.run(
-            n_starts=20, seed=100,
-            start_sampler=uniform_sampler(-10.0, 10.0),
+        result = _run(
+            "path", program, seed=100,
+            backend=BasinhoppingBackend(niter=60), n_starts=20,
+            sampler=uniform_sampler(-10.0, 10.0), spec=spec,
         )
         assert result.verified
         x = result.x_star[0]
@@ -64,10 +70,10 @@ class TestFig1AssertionHunt:
             atom("lt", v("x"), num(1.0)),
             atom("ge", fadd(v("x"), num(1.0)), num(2.0)),
         )
-        solver = XSatSolver(
-            n_starts=30, start_sampler=uniform_sampler(-10.0, 10.0)
+        result = _run(
+            "sat", f, seed=101, n_starts=30,
+            sampler=uniform_sampler(-10.0, 10.0),
         )
-        result = solver.solve(f, seed=101)
         assert result.is_sat
         assert result.model["x"] == fig1.COUNTEREXAMPLE_A
 
@@ -89,32 +95,27 @@ class TestAnalysesAgreeOnOneProgram:
         return Program([fb.build()], entry="f")
 
     def test_coverage_covers_both_arms(self, program):
-        testing = BranchCoverageTesting(
-            program, backend=BasinhoppingBackend(niter=20)
-        )
-        report = testing.run(
-            max_rounds=10, seed=102,
-            start_sampler=uniform_sampler(-100.0, 100.0),
+        report = _run(
+            "coverage", program, seed=102,
+            backend=BasinhoppingBackend(niter=20), max_rounds=10,
+            sampler=uniform_sampler(-100.0, 100.0),
         )
         assert report.coverage == 1.0
 
     def test_boundary_finds_the_threshold(self, program):
-        analysis = BoundaryValueAnalysis(
-            program, backend=BasinhoppingBackend(niter=30)
-        )
-        report = analysis.run(
-            n_starts=6, seed=103,
-            start_sampler=uniform_sampler(-100.0, 100.0),
-            max_samples=20_000,
+        report = _run(
+            "boundary", program, seed=103,
+            backend=BasinhoppingBackend(niter=30), n_starts=6,
+            sampler=uniform_sampler(-100.0, 100.0), max_samples=20_000,
         )
         assert (4.0,) in report.boundary_values
         assert report.sound
 
     def test_overflow_in_the_else_arm_only(self, program):
-        detector = OverflowDetection(
-            program, backend=BasinhoppingBackend(niter=30)
+        report = _run(
+            "overflow", program, seed=104,
+            backend=BasinhoppingBackend(niter=30), n_starts=3,
         )
-        report = detector.run(seed=104, retries_per_round=3)
         assert report.n_fp_ops == 2
         found = {f.label for f in report.findings}
         # y = x*x overflows for |x| ~ 1e154 < 4? No: the else arm
@@ -131,11 +132,11 @@ class TestNumericEndToEnd:
         from repro.analyses import InconsistencyChecker
         from repro.gsl import bessel
 
-        detector = OverflowDetection(
-            bessel.make_program(),
+        report = _run(
+            "overflow", bessel.make_program(), seed=105,
             backend=BasinhoppingBackend(niter=25, local_maxiter=120),
+            n_starts=3,
         )
-        report = detector.run(seed=105, retries_per_round=3)
         checker = InconsistencyChecker(
             bessel.make_program(),
             classifier=bessel.classify_root_cause,
@@ -146,20 +147,15 @@ class TestNumericEndToEnd:
         assert findings
 
     def test_sin_boundary_values_land_on_high_word_bounds(self):
-        from repro.analyses.boundary import BoundaryValueAnalysis
         from repro.fp.bits import high_word
         from repro.libm import sin as glibc_sin
         from repro.mo.starts import wide_log_sampler
 
-        analysis = BoundaryValueAnalysis(
-            glibc_sin.make_program(),
+        report = _run(
+            "boundary", glibc_sin.make_program(), seed=106,
             backend=BasinhoppingBackend(niter=40, local_maxiter=150),
-            site_filter=lambda s: s.function == "sin_glibc",
-        )
-        report = analysis.run(
-            n_starts=10, seed=106,
-            start_sampler=wide_log_sampler(-12.0, 10.0),
-            max_samples=60_000,
+            n_starts=10, sampler=wide_log_sampler(-12.0, 10.0),
+            spec=lambda s: s.function == "sin_glibc", max_samples=60_000,
         )
         assert report.boundary_values
         for (x,) in report.boundary_values[:200]:
