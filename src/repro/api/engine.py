@@ -72,12 +72,9 @@ class EngineConfig:
     #: matches a crash-free serial run exactly.
     max_crash_retries: int = DEFAULT_CRASH_RETRIES
     #: Evaluation tier for every weak distance the analyses build:
-    #: ``"compiled"`` (default), ``"interpreter"``, or ``"vectorized"``
-    #: — the batched NumPy kernel tier
-    #: (:mod:`repro.fpir.batch_eval`), which scores whole candidate
-    #: populations per call with bit-parity to the scalar tiers, so
-    #: verdicts, representatives and samples are ``eval_mode``-
-    #: invariant.
+    #: ``"compiled"`` (default) or ``"interpreter"``.  The tiers are
+    #: bit-identical, so verdicts, representatives and samples are
+    #: ``eval_mode``-invariant.
     eval_mode: Optional[str] = None
     #: ``True`` (default): parallel rounds skip the racing early-cancel
     #: so serial and parallel runs are bit-identical.  ``False``: race

@@ -62,6 +62,7 @@ from typing import Any, Dict, List, Optional
 
 def _engine_arguments(cmd: argparse.ArgumentParser) -> None:
     """The shared EngineConfig knobs, identical for every analysis."""
+    from repro.core.weak_distance import EVAL_MODES
     from repro.mo import available_backends
 
     cmd.add_argument("--seed", type=int, default=None)
@@ -90,11 +91,10 @@ def _engine_arguments(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument(
         "--eval-mode",
         dest="eval_mode",
-        choices=("compiled", "interpreter", "vectorized"),
+        choices=EVAL_MODES,
         default=None,
-        help="weak-distance tier: compiled scalar (default), reference "
-             "interpreter, or the vectorized batch kernel (bit-parity "
-             "with the scalar tiers, populations scored in one call)",
+        help="weak-distance tier: compiled (default) or the reference "
+             "interpreter (bit-identical results)",
     )
     cmd.add_argument(
         "--smoke", action="store_true",
@@ -124,6 +124,7 @@ def _engine_arguments(cmd: argparse.ArgumentParser) -> None:
 
 def _build_parser() -> argparse.ArgumentParser:
     from repro.api import available_analyses, get_analysis
+    from repro.core.weak_distance import EVAL_MODES
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -239,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument(
         "--eval-mode",
         dest="eval_mode",
-        choices=("compiled", "interpreter", "vectorized"),
+        choices=EVAL_MODES,
         default=None,
     )
     scan.add_argument(
@@ -368,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--backend", default=None)
     submit.add_argument(
         "--eval-mode", dest="eval_mode",
-        choices=("compiled", "interpreter", "vectorized"), default=None,
+        choices=EVAL_MODES, default=None,
     )
     submit.add_argument("--label", default=None)
     submit.add_argument(

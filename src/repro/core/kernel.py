@@ -61,12 +61,9 @@ class KernelConfig:
     #: Retried starts re-ship their untouched per-start generators, so
     #: a healed run stays byte-identical to a crash-free serial run.
     max_crash_retries: int = DEFAULT_CRASH_RETRIES
-    #: Evaluation tier for W (``"compiled"``, ``"interpreter"`` or
-    #: ``"vectorized"``; ``None`` = compiled).  ``"vectorized"`` keeps
-    #: the compiled scalar path for single-point calls and adds the
-    #: batched NumPy kernel that batch-native MO backends exploit —
-    #: with bit-parity to the scalar tiers, so the verdict and the
-    #: sampled sequence are ``eval_mode``-invariant.
+    #: Evaluation tier for W (``"compiled"`` or ``"interpreter"``;
+    #: ``None`` = compiled).  The tiers are bit-identical, so the
+    #: verdict and the sampled sequence are ``eval_mode``-invariant.
     eval_mode: Optional[str] = None
 
     def __post_init__(self) -> None:

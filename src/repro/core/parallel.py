@@ -137,14 +137,11 @@ class WeakDistancePayload:
 
     instrumented: InstrumentedProgram
     n_inputs: int
-    use_compiler: bool
     exact: bool
     max_loop_steps: int
-    #: Evaluation tier the rebuilt W runs in (``"compiled"``,
-    #: ``"interpreter"`` or ``"vectorized"``).  Part of the payload —
-    #: and therefore of the pool's content hash — because it
-    #: selects a different executable: warm workers lower the batch
-    #: bytecode once per (program, tier) digest.
+    #: Evaluation tier the rebuilt W runs in (``"compiled"`` or
+    #: ``"interpreter"``).  Part of the payload — and therefore of the
+    #: pool's content hash — because it selects a different executable.
     eval_mode: str = "compiled"
 
 
@@ -168,7 +165,6 @@ def make_payload(weak_distance: WeakDistance, n_inputs: int) -> WeakDistancePayl
     return WeakDistancePayload(
         instrumented=weak_distance.instrumented,
         n_inputs=n_inputs,
-        use_compiler=weak_distance.use_compiler,
         exact=weak_distance.exact,
         max_loop_steps=weak_distance.max_loop_steps,
         eval_mode=weak_distance.eval_mode,
@@ -179,7 +175,6 @@ def rebuild_weak_distance(payload: WeakDistancePayload) -> WeakDistance:
     """Reconstruct an executable W from a payload (worker side)."""
     return WeakDistance(
         payload.instrumented,
-        use_compiler=payload.use_compiler,
         exact=payload.exact,
         max_loop_steps=payload.max_loop_steps,
         eval_mode=payload.eval_mode,

@@ -8,27 +8,20 @@ A weak distance for ⟨Prog; S⟩ is a *program* ``W : dom(Prog) → F`` with
 
 Here a weak distance is an instrumented FPIR program plus the recipe
 for reading the value of the instrumented variable ``w`` back out.  It
-can execute through the compiler (fast path, default), the reference
-interpreter, or — for whole populations at once — the batched
-vectorized tier (:mod:`repro.fpir.batch_eval`), and exposes the runtime
-label sets so stateful analyses (Algorithm 3's set ``L``, branch
-coverage's set ``B``) can evolve the distance between minimization
-rounds without re-instrumenting.
+can execute through the compiler (fast path, default) or the reference
+interpreter, and exposes the runtime label sets so stateful analyses
+(Algorithm 3's set ``L``, branch coverage's set ``B``) can evolve the
+distance between minimization rounds without re-instrumenting.
 
-``eval_mode`` selects the tier: ``"compiled"`` (default) and
-``"interpreter"`` are the scalar tiers; ``"vectorized"`` additionally
-exposes :meth:`WeakDistance.evaluate_batch`, which scores an ``(N, d)``
-batch in one NumPy call with bit-parity to the scalar tiers (programs
-the batch tier cannot lower fall back to a scalar loop transparently,
-so ``evaluate_batch`` is always safe to call).
+``eval_mode`` selects the tier — ``"compiled"`` (default) or
+``"interpreter"`` — and both score one point per call, bit for bit
+alike: MO samples W one point at a time (Section 4.1).
 """
 
 from __future__ import annotations
 
 import math
 from typing import Dict, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.fpir.compiler import CompiledProgram, compile_program
 from repro.fpir.instrument import InstrumentedProgram
@@ -39,8 +32,9 @@ from repro.fpir.interpreter import (
     StepLimitExceeded,
 )
 
-#: Valid ``eval_mode`` values, in documentation order.
-EVAL_MODES = ("compiled", "interpreter", "vectorized")
+#: Valid ``eval_mode`` values, in documentation order — the one list
+#: the CLI and the serve wire check read.
+EVAL_MODES = ("compiled", "interpreter")
 
 
 class WeakDistance:
@@ -49,7 +43,6 @@ class WeakDistance:
     def __init__(
         self,
         instrumented: InstrumentedProgram,
-        use_compiler: bool = True,
         exact: bool = False,
         max_loop_steps: int = 2_000_000,
         eval_mode: Optional[str] = None,
@@ -60,14 +53,12 @@ class WeakDistance:
         artifacts in W at ~10× interpreter cost.  Implies the
         interpreter backend.
 
-        ``eval_mode`` (``"compiled"``/``"interpreter"``/``"vectorized"``)
-        supersedes ``use_compiler`` when given; ``"vectorized"`` keeps
-        the compiled scalar path for single-point calls and adds the
-        batched kernel for :meth:`evaluate_batch`.  ``exact`` always
-        forces the (exact) interpreter and disables batching.
+        ``eval_mode`` is ``"compiled"`` (``None`` means the same) or
+        ``"interpreter"``; ``exact`` always forces the (exact)
+        interpreter.
         """
         if eval_mode is None:
-            eval_mode = "compiled" if use_compiler else "interpreter"
+            eval_mode = "compiled"
         if eval_mode not in EVAL_MODES:
             raise ValueError(
                 f"unknown eval_mode {eval_mode!r}; expected one of "
@@ -78,12 +69,10 @@ class WeakDistance:
         self.w_var = instrumented.w_var
         self.exact = exact
         self.eval_mode = eval_mode
-        self.use_compiler = eval_mode != "interpreter" and not exact
+        self._use_compiler = eval_mode == "compiled" and not exact
         self._compiled: Optional[CompiledProgram] = None
         self._interpreter: Optional[Interpreter] = None
         self._runtime = None
-        self._batch_program = None
-        self._batch_unavailable = False
         self.max_loop_steps = max_loop_steps
         #: Runtime label sets shared across evaluations (e.g. L, B).
         self.label_sets: Dict[str, Set[str]] = {
@@ -102,7 +91,7 @@ class WeakDistance:
 
     def execute(self, x: Sequence[float]) -> ExecutionResult:
         """Run the instrumented program on ``x`` and return the raw result."""
-        if self.use_compiler:
+        if self._use_compiler:
             compiled = self._ensure_compiled()
             if self._runtime is None:
                 self._runtime = compiled.new_runtime(self.max_loop_steps)
@@ -159,77 +148,6 @@ class WeakDistance:
             return 5e-324
         return value
 
-    # -- batched evaluation ---------------------------------------------------
-
-    @property
-    def supports_batch(self) -> bool:
-        """True when :meth:`evaluate_batch` runs the vectorized kernel.
-
-        Requires ``eval_mode="vectorized"`` *and* a program the batch
-        tier can lower; checking is lazy and cached, so the first call
-        pays for lowering.  When False, ``evaluate_batch`` still works
-        via a scalar loop.
-        """
-        return self._ensure_batch_program() is not None
-
-    def _ensure_batch_program(self):
-        if (
-            self.eval_mode != "vectorized"
-            or self.exact
-            or self._batch_unavailable
-        ):
-            return self._batch_program
-        if self._batch_program is None:
-            from repro.fpir.batch_eval import compile_batch
-            from repro.fpir.vm import BatchCompilationError
-
-            try:
-                self._batch_program = compile_batch(self.program)
-            except BatchCompilationError:
-                self._batch_unavailable = True
-        return self._batch_program
-
-    def evaluate_batch(self, X: Sequence[Sequence[float]]) -> np.ndarray:
-        """W over an ``(N, d)`` batch, one value per row.
-
-        Bit-identical to ``[self(x) for x in X]`` (the parity contract
-        of :mod:`repro.fpir.batch_eval`): per lane, a NaN ``w`` or an
-        exceeded loop budget reads as ``inf``.  Programs the batch tier
-        cannot lower — or batches it rejects at runtime — are evaluated
-        by exactly that scalar loop instead, so callers never need to
-        special-case.  Unlike scalar calls, a batch run records no
-        events or counters (those feed scalar replays).
-        """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            # A flat vector is a column of 1-D points unless the
-            # program's arity says it is one multi-dimensional point.
-            d = self.program.num_inputs
-            X = X.reshape(-1, d if X.size else max(d, 1))
-        if X.shape[0] == 0:
-            return np.empty(0, dtype=np.float64)
-        batch = self._ensure_batch_program()
-        if batch is not None:
-            from repro.fpir.batch_eval import BatchExecutionError
-
-            try:
-                result = batch.run(
-                    X,
-                    label_sets=self.label_sets,
-                    max_loop_steps=self.max_loop_steps,
-                )
-            except BatchExecutionError:
-                pass
-            else:
-                w = result.globals.get(self.w_var)
-                if w is None:
-                    values = np.full(X.shape[0], math.inf)
-                else:
-                    values = np.asarray(w, dtype=np.float64)
-                    values = np.where(np.isnan(values), math.inf, values)
-                return np.where(result.exhausted, math.inf, values)
-        return np.array([self(x) for x in X], dtype=np.float64)
-
     def replay(
         self, x: Sequence[float]
     ) -> Tuple[ExecutionResult, Dict[Tuple[str, str], int]]:
@@ -240,7 +158,7 @@ class WeakDistance:
         counters, while plain W evaluation lets them accumulate for
         speed; this method isolates one run.
         """
-        if self.use_compiler:
+        if self._use_compiler:
             compiled = self._ensure_compiled()
             if self._runtime is None:
                 self._runtime = compiled.new_runtime(self.max_loop_steps)

@@ -133,8 +133,8 @@ def _throughput(quick: bool):
     instrumented = instrument(fig2.make_program(), multiplicative_spec())
     n = 2_000 if quick else 20_000
     timings = {}
-    for mode, use_compiler in (("compiled", True), ("interpreter", False)):
-        wd = WeakDistance(instrumented, use_compiler=use_compiler)
+    for mode in ("compiled", "interpreter"):
+        wd = WeakDistance(instrumented, eval_mode=mode)
         start = time.perf_counter()
         for i in range(n):
             wd((float(i % 17) - 8.0,))

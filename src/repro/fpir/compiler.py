@@ -21,8 +21,6 @@ One accounting caveat: ``max_loop_steps`` budgets loop *iterations*
 (``CompiledRuntime.check_loop`` is called once per iteration), while
 the interpreter's ``max_steps`` budgets interpreted *statements* — a
 coarser counter that trips earlier on straight-line-heavy loop bodies.
-The batched tier (:mod:`repro.fpir.batch_eval`) mirrors the compiled
-accounting, lane by lane.
 """
 
 from __future__ import annotations

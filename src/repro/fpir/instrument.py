@@ -37,8 +37,8 @@ state, so no rewrite of hook output can tell accumulator references
 from program references.)  Renames are recorded on
 ``InstrumentedProgram.renamed``.  Specs using ``after_fp_assign`` need
 the program in three-address form (``normalize=True`` handles this).
-The instrumented program runs on any tier — interpreter, compiled, or
-batched — with identical ``w`` trajectories.
+The instrumented program runs on either tier — interpreter or
+compiled — with identical ``w`` trajectories.
 """
 
 from __future__ import annotations

@@ -11,22 +11,17 @@ through an explicit :class:`ExecutionContext`.
 Invariants:
 
 * **Value parity.**  Result values, globals, events and counters are
-  bit-identical to the compiled tier (:mod:`repro.fpir.compiler`) and
-  — values and globals — to the batched tier
-  (:mod:`repro.fpir.batch_eval`); the test suite enforces this
-  differentially.
+  bit-identical to the compiled tier (:mod:`repro.fpir.compiler`); the
+  test suite enforces this differentially.
 * **Step accounting is the one sanctioned difference.**  ``max_steps``
   here budgets interpreted *statements* (each statement and each loop
-  iteration increments the counter), whereas the compiled and batched
-  tiers budget loop *iterations* only.  The budgets exist to bound
-  runaway loops, not to be comparable across tiers; programs that
-  terminate within budget agree everywhere.
+  iteration increments the counter), whereas the compiled tier budgets
+  loop *iterations* only.  The budgets exist to bound runaway loops,
+  not to be comparable across tiers; programs that terminate within
+  budget agree on both.
 * **Errors are per point.**  Out-of-range array indexing and integer
   division by zero raise :class:`InterpreterError` for the offending
-  input alone — the batched tier maps these to a whole-batch
-  :class:`repro.fpir.batch_eval.BatchExecutionError` and defers to
-  this interpreter (via the scalar fallback) for the faithful
-  per-point error.
+  input alone.
 """
 
 from __future__ import annotations

@@ -3,14 +3,13 @@
 ``repro.mo`` provides the uniform :class:`~repro.mo.base.MOBackend`
 interface, the three SciPy backends evaluated in the paper's Table 1
 (Basinhopping, Differential Evolution, Powell), a from-scratch MCMC
-basin-hopper, a batch-native population backend (one vectorized kernel
-call per generation), a random-search baseline, and magnitude-aware
-starting-point samplers.
+basin-hopper, a random-search baseline, a racing portfolio, and
+magnitude-aware starting-point samplers.  Every backend scores points
+one at a time through :meth:`~repro.mo.base.Objective.__call__`.
 """
 
 from repro.mo.base import MOBackend, MOResult, Objective, StopMinimization
 from repro.mo.mcmc import PurePythonBasinhopping
-from repro.mo.population import PopulationBackend
 from repro.mo.portfolio import PortfolioBackend
 from repro.mo.random_search import RandomSearchBackend
 from repro.mo.registry import (
@@ -39,7 +38,6 @@ __all__ = [
     "MOBackend",
     "MOResult",
     "Objective",
-    "PopulationBackend",
     "PortfolioBackend",
     "PowellBackend",
     "PurePythonBasinhopping",

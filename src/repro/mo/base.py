@@ -14,24 +14,6 @@ optimization" (Section 4.1).  This module fixes the black-box interface:
 * starting points are drawn by pluggable samplers
   (:mod:`repro.mo.starts`), because exploring ``F^N`` requires
   magnitude-aware sampling rather than uniform boxes.
-
-Batch protocol
---------------
-
-Batch-native backends speak two verbs: :meth:`MOBackend.propose_batch`
-(draw a population of candidate points) and
-:meth:`Objective.evaluate_batch` (score them).  ``evaluate_batch`` is
-defined to be observationally identical to evaluating the points one by
-one with ``__call__`` — same evaluation order, same best-point
-tracking, same sample recording, and the same :class:`StopMinimization`
-at the same point in the sequence, with any later points discarded.
-When the wrapped function exposes a vectorized kernel
-(``fn.supports_batch``, e.g. a :class:`repro.core.weak_distance.
-WeakDistance` in ``eval_mode="vectorized"``) the whole population is
-scored in one call; otherwise a scalar loop runs.  Because the
-semantics are identical either way, a backend built on
-``evaluate_batch`` produces bit-identical trajectories in every
-``eval_mode``.
 """
 
 from __future__ import annotations
@@ -97,35 +79,7 @@ class Objective:
 
     def __call__(self, x) -> float:
         xs = tuple(float(v) for v in np.atleast_1d(x))
-        return self._absorb(xs, self.fn(xs))
-
-    @property
-    def supports_batch(self) -> bool:
-        """True when the wrapped function scores populations in one
-        call (a vectorized weak-distance kernel)."""
-        return bool(getattr(self.fn, "supports_batch", False))
-
-    def evaluate_batch(self, points) -> List[float]:
-        """Evaluate a population with sequential-call semantics.
-
-        Observationally identical to ``[self(p) for p in points]``:
-        points are absorbed in order, and a stop condition (zero found,
-        budget exhausted, external cancellation) raises
-        :class:`StopMinimization` at the same point it would have in
-        the scalar loop — later points are computed in vain at most,
-        never recorded.  The vectorized kernel's bit-parity contract
-        (:mod:`repro.fpir.batch_eval`) makes the returned values
-        identical in both paths, so batch-native backends behave the
-        same in every ``eval_mode``.
-        """
-        coerced = [tuple(float(v) for v in np.atleast_1d(p)) for p in points]
-        if self.supports_batch and len(coerced) > 1:
-            values = self.fn.evaluate_batch(np.asarray(coerced, dtype=np.float64))
-            return [self._absorb(xs, float(v)) for xs, v in zip(coerced, values)]
-        return [self._absorb(xs, float(self.fn(xs))) for xs in coerced]
-
-    def _absorb(self, xs: Tuple[float, ...], value: float) -> float:
-        """Bookkeeping for one evaluated point (the ``__call__`` body)."""
+        value = self.fn(xs)
         if value != value:  # NaN
             value = math.inf
         self.n_evals += 1
@@ -169,21 +123,6 @@ class MOBackend:
         """Minimize ``objective`` from ``start``; never raises
         :class:`StopMinimization` (it is converted to a result)."""
         raise NotImplementedError
-
-    def propose_batch(
-        self,
-        x: Sequence[float],
-        rng: np.random.Generator,
-        size: int,
-        scale: float = 1.0,
-    ) -> List[Tuple[float, ...]]:
-        """Propose a population of candidate points around ``x``.
-
-        Batch-native backends override this (and feed the result to
-        :meth:`Objective.evaluate_batch`); the default signals that the
-        backend proposes points one at a time.
-        """
-        raise NotImplementedError(f"backend {self.name!r} does not propose batches")
 
     def _run(
         self,

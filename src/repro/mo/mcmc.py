@@ -30,10 +30,9 @@ def _pattern_search(
 
     Steps are proportional to each coordinate's magnitude so the search
     is scale-free across the doubles; a small absolute step handles
-    points near zero.  Each coordinate's candidate probes are scored as
-    one batch (a single kernel call under a vectorized weak distance);
-    the first improving candidate wins, so the descent trajectory is
-    the same one the historical probe-at-a-time loop produced.
+    points near zero.  All of a coordinate's candidate probes are
+    scored before the first improving one is taken, so every probe
+    counts against the budget and lands in the recorded samples.
     """
     x = list(x0)
     fx = objective(x)
@@ -62,7 +61,7 @@ def _pattern_search(
                 trials.append(tuple(trial))
             if not trials:
                 continue
-            for trial, ft in zip(trials, objective.evaluate_batch(trials)):
+            for trial, ft in zip(trials, [objective(t) for t in trials]):
                 if ft < fx:
                     x, fx = list(trial), ft
                     improved = True
@@ -104,28 +103,14 @@ class PurePythonBasinhopping(MOBackend):
             if fcand <= fx or self._accept(fx, fcand, rng):
                 x, fx = cand, fcand
 
-    def propose_batch(
-        self,
-        x,
-        rng: np.random.Generator,
-        size: int,
-        scale: float = 1.0,
-    ):
-        """A population of Markov-chain proposals around ``x``."""
-        xt = tuple(float(v) for v in x)
-        return [self._propose(xt, rng, scale) for _ in range(size)]
-
     def _propose(
-        self,
-        x: Tuple[float, ...],
-        rng: np.random.Generator,
-        scale: float = 1.0,
+        self, x: Tuple[float, ...], rng: np.random.Generator
     ) -> Tuple[float, ...]:
         out = []
         for xi in x:
             mode = rng.random()
             if mode < 0.5:
-                xi = xi + rng.normal(0.0, scale * (1.0 + abs(xi) * 0.5))
+                xi = xi + rng.normal(0.0, 1.0 + abs(xi) * 0.5)
             elif mode < 0.9:
                 xi = xi * 10.0 ** rng.uniform(-2.0, 2.0)
             else:

@@ -4,20 +4,11 @@ Section 5.3 observes that a characteristic-function weak distance is
 flat almost everywhere, so "the optimization of this weak distance
 degenerates into pure random testing".  This backend *is* that random
 testing: it makes the degeneration measurable in the Fig. 7 ablation
-and serves as the sanity baseline everywhere else.
-
-The backend is batch-native: points are still drawn one at a time from
-the sampler (so the random stream — and therefore the sampled sequence
-— is identical to the historical scalar loop), but they are scored in
-chunks through :meth:`Objective.evaluate_batch`, which collapses to a
-single vectorized kernel call when the weak distance supports it.
+and serves as the sanity baseline everywhere else.  Each point is drawn
+from the sampler and scored before the next one is drawn.
 """
 
 from __future__ import annotations
-
-from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from repro.mo.base import MOBackend, Objective
 from repro.mo.starts import DEFAULT_SAMPLER, StartSampler
@@ -32,31 +23,14 @@ class RandomSearchBackend(MOBackend):
         self,
         n_samples: int = 2000,
         sampler: StartSampler = DEFAULT_SAMPLER,
-        batch_size: int = 256,
     ) -> None:
         self.n_samples = n_samples
         self.sampler = sampler
-        self.batch_size = max(1, batch_size)
 
     def minimize(self, objective, start, rng):
         return self._guarded(objective, start, rng)
 
-    def propose_batch(
-        self,
-        x: Sequence[float],
-        rng: np.random.Generator,
-        size: int,
-        scale: float = 1.0,
-    ) -> List[Tuple[float, ...]]:
-        """Random search ignores ``x``/``scale``: fresh sampler draws."""
-        n_dims = len(tuple(x))
-        return [self.sampler(rng, n_dims) for _ in range(size)]
-
     def _run(self, objective: Objective, start, rng) -> None:
         objective(tuple(start))
-        remaining = self.n_samples - 1
-        while remaining > 0:
-            size = min(self.batch_size, remaining)
-            chunk = [self.sampler(rng, objective.n_dims) for _ in range(size)]
-            objective.evaluate_batch(chunk)
-            remaining -= size
+        for _ in range(self.n_samples - 1):
+            objective(self.sampler(rng, objective.n_dims))

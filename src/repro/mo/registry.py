@@ -15,7 +15,6 @@ from typing import Callable, Dict, Optional, Union
 
 from repro.mo.base import MOBackend
 from repro.mo.mcmc import PurePythonBasinhopping
-from repro.mo.population import PopulationBackend
 from repro.mo.portfolio import PortfolioBackend
 from repro.mo.random_search import RandomSearchBackend
 from repro.mo.scipy_backends import (
@@ -27,7 +26,6 @@ from repro.mo.scipy_backends import (
 _FACTORIES: Dict[str, Callable[[], MOBackend]] = {
     "basinhopping": BasinhoppingBackend,
     "differential_evolution": DifferentialEvolutionBackend,
-    "population": PopulationBackend,
     "portfolio": PortfolioBackend,
     "powell": PowellBackend,
     "py-basinhopping": PurePythonBasinhopping,

@@ -45,7 +45,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.api.engine import EngineConfig
 from repro.api.session import Session
 from repro.serve.checkpoint import DEFAULT_STORE_DIR, CheckpointJournal
-from repro.serve.scheduler import DEFAULT_QUOTA, Scheduler
+from repro.serve.scheduler import DEFAULT_QUOTA, FAILED, Scheduler
 from repro.serve.stream import DEFAULT_RING_CAPACITY
 from repro.serve.wire import WireError, error_body, job_to_dict
 
@@ -355,8 +355,11 @@ class ReproServer:
         without re-running an evaluation and continues the campaign at
         the first un-checkpointed round — bit-identical (per-round
         randomness is a pure function of ``(seed, round, start)``) to
-        the run the restart interrupted.  Returns how many jobs were
-        resubmitted live.
+        the run the restart interrupted.  An unsettled job whose
+        payload no longer validates (say, a knob value this version
+        dropped) settles as failed — in memory and in the journal, so
+        the next restart restores it as settled — and the rest still
+        resume.  Returns how many jobs were resubmitted live.
         """
         resumed = 0
         for job_id, entry in self.journal.load().items():
@@ -371,13 +374,21 @@ class ReproServer:
                     entry.error,
                 )
                 continue
-            self.scheduler.submit(
-                entry.tenant,
-                entry.payload,
-                job_id=job_id,
-                resume_rounds=entry.outcomes(),
-                record=False,
-            )
+            try:
+                self.scheduler.submit(
+                    entry.tenant,
+                    entry.payload,
+                    job_id=job_id,
+                    resume_rounds=entry.outcomes(),
+                    record=False,
+                )
+            except WireError as exc:
+                error = f"cannot resume: {exc}"
+                self.scheduler.restore_settled(
+                    job_id, entry.tenant, entry.payload, FAILED, None, error
+                )
+                self.journal.record_done(job_id, FAILED, error=error)
+                continue
             resumed += 1
         return resumed
 

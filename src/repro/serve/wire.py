@@ -28,7 +28,7 @@ accepted.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.core.batch import BatchJob
 from repro.util.digest import digest_bytes
@@ -52,8 +52,6 @@ _ALLOWED_KEYS = frozenset(
     ("analysis", "target", "label") + _INT_KNOBS + _BOOL_KNOBS + _STR_KNOBS
 )
 
-_EVAL_MODES = ("compiled", "interpreter", "vectorized")
-
 
 def normalize_job_payload(payload: Any) -> Dict[str, Any]:
     """Validate a job payload and return its canonical dict form.
@@ -64,6 +62,7 @@ def normalize_job_payload(payload: Any) -> Dict[str, Any]:
     violation — the server's 400 body.
     """
     from repro.api.registry import canonical_name, get_analysis
+    from repro.core.weak_distance import EVAL_MODES
     from repro.mo.registry import available_backends
 
     if not isinstance(payload, dict):
@@ -125,9 +124,9 @@ def normalize_job_payload(payload: Any) -> Dict[str, Any]:
         normalized["backend"] = backend
     eval_mode = payload.get("eval_mode")
     if eval_mode is not None:
-        if eval_mode not in _EVAL_MODES:
+        if eval_mode not in EVAL_MODES:
             raise WireError(
-                f"bad eval_mode {eval_mode!r}; one of {_EVAL_MODES}"
+                f"bad eval_mode {eval_mode!r}; one of {EVAL_MODES}"
             )
         normalized["eval_mode"] = eval_mode
     return normalized

@@ -1,12 +1,12 @@
-"""eval_mode invariance: verdicts must not depend on the kernel tier.
+"""eval_mode invariance: verdicts must not depend on the W tier.
 
-The vectorized batch kernel (:mod:`repro.fpir.batch_eval`) promises bit
-parity with the scalar interpreter, lane for lane.  The consequence the
-user observes — and the acceptance bar for the tier — is that every
-registered analysis returns the *same report* (verdict, representative
-findings, per-round eval counts, recorded samples) whether it ran with
-``eval_mode="interpreter"`` or ``eval_mode="vectorized"``, serially or
-with worker processes rebuilding the weak distance from a payload.
+The compiled tier (:mod:`repro.fpir.compiler`) promises bit parity with
+the reference interpreter.  The consequence the user observes is that
+every registered analysis returns the *same report* (verdict,
+representative findings, per-round eval counts, recorded samples)
+whether it ran with ``eval_mode="compiled"`` or
+``eval_mode="interpreter"``, serially or with worker processes
+rebuilding the weak distance from a payload.
 """
 
 import pytest
@@ -48,20 +48,20 @@ def test_cases_cover_registry():
 
 
 @pytest.mark.parametrize("name,target,options", CASES)
-def test_vectorized_matches_interpreter_serial(name, target, options):
-    vec = _run(name, target, options, "vectorized")
+def test_compiled_matches_interpreter_serial(name, target, options):
+    fast = _run(name, target, options, "compiled")
     ref = _run(name, target, options, "interpreter")
-    assert _fingerprint(vec) == _fingerprint(ref)
+    assert _fingerprint(fast) == _fingerprint(ref)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name,target,options", CASES)
-def test_vectorized_matches_interpreter_parallel(name, target, options):
+def test_compiled_matches_interpreter_parallel(name, target, options):
     """Worker processes rebuild the weak distance from the payload; the
     payload must carry the tier, and parity must survive the trip."""
-    vec = _run(name, target, options, "vectorized", n_workers=4)
+    fast = _run(name, target, options, "compiled", n_workers=4)
     ref = _run(name, target, options, "interpreter", n_workers=4)
-    assert _fingerprint(vec) == _fingerprint(ref)
+    assert _fingerprint(fast) == _fingerprint(ref)
 
 
 def test_option_overrides_config():
@@ -69,12 +69,13 @@ def test_option_overrides_config():
     base = _run("overflow", "fig2", {}, "interpreter")
     via_option = Engine(
         EngineConfig(seed=23, eval_mode="interpreter")
-    ).run("overflow", "fig2", eval_mode="vectorized")
+    ).run("overflow", "fig2", eval_mode="compiled")
     assert _fingerprint(via_option) == _fingerprint(base)
 
 
-def test_default_mode_matches_vectorized():
-    """The compiled default and the batch tier agree end to end."""
+def test_default_mode_matches_interpreter():
+    """The compiled default and the reference interpreter agree end to
+    end."""
     default = _run("overflow", "fig2", {}, None)
-    vec = _run("overflow", "fig2", {}, "vectorized")
-    assert _fingerprint(default) == _fingerprint(vec)
+    ref = _run("overflow", "fig2", {}, "interpreter")
+    assert _fingerprint(default) == _fingerprint(ref)

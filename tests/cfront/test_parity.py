@@ -7,8 +7,8 @@ the ``fig.c`` twins predate this PR in ``examples/python_targets.py``).
 FPIR labels derive deterministically from program structure, so the two
 lowerings must be *dataclass-equal* — and therefore every analysis must
 produce identical verdicts, representatives, eval counts, and samples
-for the ``file.c::fn`` spec and its ``file.py::fn`` twin, serially, on
-a warm 4-worker pool, and under the vectorized kernel tier.
+for the ``file.c::fn`` spec and its ``file.py::fn`` twin, serially and
+on a warm 4-worker pool.
 """
 
 import pytest
@@ -89,17 +89,3 @@ class TestEngineParity:
             )
         assert _fingerprint(serial) == _fingerprint(pooled)
         assert pooled.n_workers == 4
-
-    @pytest.mark.parametrize("c_path,entry,py_path", PAIRS, ids=_IDS)
-    def test_vectorized_matches_interpreter(self, c_path, entry, py_path):
-        """The batch kernel tier sees C-lowered programs as ordinary
-        FPIR — including the ``fmod`` external trig.c leans on."""
-        options = {"n_starts": 3, "max_samples": 3000}
-        spec = f"{c_path}::{entry}"
-        vec = Engine(EngineConfig(seed=13, eval_mode="vectorized")).run(
-            "boundary", spec, **options
-        )
-        ref = Engine(EngineConfig(seed=13, eval_mode="interpreter")).run(
-            "boundary", spec, **options
-        )
-        assert _fingerprint(vec) == _fingerprint(ref)

@@ -56,7 +56,7 @@ class TestConfigFingerprint:
             ("rounds", 5),
             ("starts", 3),
             ("backend", "basinhopping"),
-            ("eval_mode", "vectorized"),
+            ("eval_mode", "interpreter"),
             ("smoke", True),
         ]:
             changed = dict(base)

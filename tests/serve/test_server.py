@@ -258,3 +258,34 @@ class TestResumeEndToEnd:
         for key in ("verdict", "n_evals", "rounds", "trace", "findings",
                     "seed"):
             assert resumed["report"][key] == clean["report"][key], key
+
+    def test_stale_payload_fails_without_blocking_resume(self, tmp_path):
+        """An unsettled job whose payload no longer validates settles as
+        failed; the server still starts and resumes the valid job, and
+        the failure is journaled so the next restart restores it."""
+        from repro.serve import CheckpointJournal
+
+        store = str(tmp_path / "store5")
+        journal = CheckpointJournal(store)
+        # A tier earlier versions accepted and this one no longer does.
+        stale = dict(SMOKE, eval_mode='vectorized')
+        journal.record_job("j0", "anonymous", stale)
+        journal.record_job("j1", "anonymous", SMOKE)
+
+        with ReproServer(
+            ServeConfig(port=0, n_workers=2, store_dir=store, resume=True)
+        ).start() as server:
+            client = ServeClient(server.url)
+            assert server.n_resumed == 1
+            bad = client.job("j0")
+            assert bad["state"] == "failed"
+            assert "eval_mode" in bad["error"]
+            assert client.wait("j1", timeout=60)["state"] == "done"
+
+        with ReproServer(
+            ServeConfig(port=0, n_workers=2, store_dir=store, resume=True)
+        ).start() as server:
+            assert server.n_resumed == 0
+            bad = ServeClient(server.url).job("j0")
+            assert bad["state"] == "failed"
+            assert "eval_mode" in bad["error"]
